@@ -487,35 +487,6 @@ let pnr_seeds_arg =
            (-O3/vitis) compile and keep the best post-STA timing. Ignored on paged levels; \
            a loaded --incremental-from state wins over seeds.")
 
-(* Incremental compile state: the whole app, marshalled (pure data —
-   graphs, netlists, placements, routes; no closures anywhere in it).
-   A stale or truncated state file degrades to a scratch compile, never
-   to an error. *)
-let inc_state_file dir (b : Suite.bench) level =
-  Filename.concat dir (Printf.sprintf "%s.%s.pnrstate" b.Suite.name (B.level_name level))
-
-let load_previous dir b level : B.app option =
-  let file = inc_state_file dir b level in
-  if not (Sys.file_exists file) then None
-  else
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try Some (Marshal.from_channel ic : B.app)
-        with _ ->
-          Log.warn logger ~sub:"cli"
-            (Printf.sprintf "ignoring unreadable incremental state %s" file);
-          None)
-
-let save_previous dir b level (app : B.app) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let file = inc_state_file dir b level in
-  let oc = open_out_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc app [])
-
 (* One parseable line per monolithic compile: what the delta path did
    (or why it could not), and the P&R seconds the CI smoke compares. *)
 let incremental_summary (app : B.app) =
@@ -523,9 +494,7 @@ let incremental_summary (app : B.app) =
   | None -> ()
   | Some m ->
       let p = m.Pld_core.Flow.pnr3 in
-      let pnr_seconds =
-        p.Pld_pnr.Pnr.place_seconds +. p.Pld_pnr.Pnr.route_seconds +. p.Pld_pnr.Pnr.sta_seconds
-      in
+      let pnr_seconds = Pld_core.Cost.pnr p in
       (match p.Pld_pnr.Pnr.delta with
       | None ->
           Printf.printf "incremental: status=cold pnr_seconds=%.4f\n" pnr_seconds
@@ -568,10 +537,21 @@ let compile_cmd =
               die ~code:2
                 (Printf.sprintf "--touch-op: no instance %S in %s" inst b.Suite.name))
     in
-    let previous = Option.bind incremental_from (fun dir -> load_previous dir b level) in
+    (* A stale or torn state degrades to a scratch compile (the store
+       logs why), never to an error. *)
+    let state =
+      Option.map
+        (fun dir ->
+          try Pld_engine.Store.open_ ~dir ()
+          with Pld_engine.Store.Store_error msg ->
+            die (Printf.sprintf "bad --incremental-from: %s" msg))
+        incremental_from
+    in
+    let name = b.Suite.name in
+    let previous = Option.bind state (fun st -> B.load_state st ~name level) in
     let app = S.compile session ~level ?faults ~max_retries ?previous ~pnr_seeds graph in
     S.close session;
-    Option.iter (fun dir -> save_previous dir b level app) incremental_from;
+    Option.iter (fun st -> B.save_state st ~name app) state;
     print_endline (Pld_core.Report.compile_summary app);
     Printf.printf "  cache: %s\n" (Pld_core.Report.cache_summary app.B.report);
     List.iter (fun (inst, page) -> Printf.printf "  %-16s -> page %d\n" inst page) app.B.assignment;
@@ -898,7 +878,16 @@ let baseline_check_cmd =
       & info [ "exact-only" ]
           ~doc:
             "Compare only the deterministic (exact) metric class — for baselines recorded on \
-             different hardware, where modeled tool seconds are not comparable.")
+             different hardware, where wall-clock metrics are not comparable.")
+  in
+  let perturb_arg =
+    Arg.(
+      value
+      & opt (list (pair ~sep:'=' string float)) []
+      & info [ "perturb" ] ~docv:"METRIC=FACTOR,..."
+          ~doc:
+            "Scale these metrics of the fresh measurement before comparing — the gate's \
+             self-test: a run perturbed by a large factor must fail and name the metric.")
   in
   let out_arg =
     Arg.(
@@ -906,16 +895,17 @@ let baseline_check_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Write machine-readable findings (REGRESSION.json).")
   in
-  let run file opts exact_only out =
+  let run file opts exact_only out perturb =
     if not (Sys.file_exists file) then
       die ~code:2 (Printf.sprintf "no baseline at %s (record one with `pldc baseline save`)" file);
-    let current = Sentinel.measure opts in
+    let current = Sentinel.perturb perturb (Sentinel.measure opts) in
     let verdict = Sentinel.check ~base_file:file ~exact_only ?out current in
     print_string (Baseline.render_verdict verdict);
     if not verdict.Baseline.ok then exit 1
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ baseline_file_arg $ sentinel_opts_term $ exact_only_arg $ out_arg)
+    Term.(
+      const run $ baseline_file_arg $ sentinel_opts_term $ exact_only_arg $ out_arg $ perturb_arg)
 
 let baseline_cmd =
   let doc = "Record or enforce a performance baseline (the regression sentinel)." in

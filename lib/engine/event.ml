@@ -54,16 +54,16 @@ let bump keys f key =
       keys := !keys @ [ (key, cell) ];
       f cell
 
+(* Summed in job-id order: float addition does not associate, and the
+   totals must not depend on which worker finished first. *)
 let phase_totals events =
   let keys = ref [] in
-  List.iter
-    (function
-      | Job_finish { phases; _ } ->
-          List.iter
-            (fun (name, s) -> bump keys (fun c -> let h, m, t = !c in c := (h, m, t +. s)) name)
-            phases
-      | _ -> ())
-    events;
+  List.filter_map (function Job_finish { job; phases; _ } -> Some (job, phases) | _ -> None) events
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (_, phases) ->
+         List.iter
+           (fun (name, s) -> bump keys (fun c -> let h, m, t = !c in c := (h, m, t +. s)) name)
+           phases);
   List.map (fun (name, cell) -> let _, _, t = !cell in (name, t)) !keys
 
 let cache_hits events =
@@ -86,8 +86,7 @@ let by_kind events =
 
 let strip_timing = function
   | Graph_finish f -> Graph_finish { f with wall_seconds = 0.0 }
-  | Job_finish f ->
-      Job_finish { f with wall_seconds = 0.0; worker = 0; model_seconds = 0.0; phases = [] }
+  | Job_finish f -> Job_finish { f with wall_seconds = 0.0; worker = 0 }
   | Job_start s -> Job_start { s with worker = 0 }
   | Job_failed f -> Job_failed { f with worker = 0 }
   | Job_retry r -> Job_retry { r with worker = 0 }

@@ -46,8 +46,9 @@ val pp : Format.formatter -> t -> unit
 (** {2 Trace aggregation} *)
 
 val phase_totals : t list -> (string * float) list
-(** Sum of the modeled phase durations over every [Job_finish], in
-    first-appearance order of the phase names. *)
+(** Sum of the modeled phase durations over every [Job_finish], taken
+    in job-id order (so the result does not depend on completion
+    order), phase names in first-appearance order. *)
 
 val cache_hits : t list -> int
 (** Number of [Cache_hit] events. *)
@@ -61,8 +62,7 @@ val by_kind : t list -> (string * int * int) list
     hit (i.e. the job had to do its work). *)
 
 val strip_timing : t -> t
-(** The event with all timing fields zeroed (measured wall-clock, the
-    worker index, and the modeled durations, which are derived from
-    measured simulator runtime and so also vary run to run) — what
-    determinism tests compare between a sequential and a parallel run
-    of the same graph. *)
+(** The event with its measured fields zeroed (wall-clock and the
+    worker index). Modeled durations are kept: they are a function of
+    the work done, so a sequential and a parallel run of the same graph
+    — what determinism tests compare — must agree on them exactly. *)

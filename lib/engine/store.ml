@@ -3,7 +3,7 @@ module T = Pld_telemetry.Telemetry
 
 exception Store_error of string
 
-let version = 1
+let version = 2
 let magic = "PLD-ARTIFACT"
 let suffix = ".art"
 let lock_name = "store.lock"
@@ -62,32 +62,32 @@ let header ~kind ~key ~payload =
   Printf.sprintf "%s v%d %s %s %s %d\n" magic version kind key (Digest.of_string payload)
     (String.length payload)
 
-(* Returns the payload if and only if every header field checks out. *)
+(* Returns the payload if and only if every header field checks out,
+   else the reason the entry cannot be trusted. *)
 let read_valid path ~kind ~key =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       match input_line ic with
-      | exception End_of_file -> None
+      | exception End_of_file -> Error "empty file"
       | line -> (
           match String.split_on_char ' ' line with
-          | [ m; v; k; d; payload_digest; len ] -> (
+          | [ m; v; k; d; payload_digest; len ] when m = magic -> (
               match int_of_string_opt len with
-              | Some n
-                when m = magic
-                     && v = "v" ^ string_of_int version
-                     && k = kind && Digest.equal d key -> (
+              | _ when v <> "v" ^ string_of_int version ->
+                  Error (Printf.sprintf "written by store %s, this build reads v%d" v version)
+              | Some n when k = kind && Digest.equal d key -> (
                   match really_input_string ic n with
-                  | exception End_of_file -> None
+                  | exception End_of_file -> Error "truncated payload"
                   | payload ->
-                      if
-                        Digest.equal (Digest.of_string payload) payload_digest
-                        && pos_in ic = in_channel_length ic
-                      then Some payload
-                      else None)
-              | _ -> None)
-          | _ -> None))
+                      if not (Digest.equal (Digest.of_string payload) payload_digest) then
+                        Error "payload digest mismatch"
+                      else if pos_in ic <> in_channel_length ic then Error "trailing bytes"
+                      else Ok payload)
+              | Some _ -> Error "header names another entry"
+              | None -> Error "malformed header")
+          | _ -> Error "not a store entry"))
 
 let remove_file path = try Sys.remove path with Sys_error _ -> ()
 
@@ -258,9 +258,13 @@ let quarantine_entry t name =
   Hashtbl.remove t.index name;
   T.incr (T.counter t.telemetry "store.quarantined")
 
-(* Invalid entries leave the live set either way; [keep_evidence]
-   decides whether the bytes survive for the post-mortem. *)
-let discard_entry t name =
+(* Invalid entries leave the live set either way, with the reason
+   logged; [keep_evidence] decides whether the bytes survive for the
+   post-mortem. *)
+let discard_entry t name ~reason =
+  Pld_telemetry.Log.warn Pld_telemetry.Log.default ~sub:"store"
+    ~fields:[ ("entry", name); ("reason", reason) ]
+    "discarding invalid entry (a miss)";
   if t.keep_evidence then quarantine_entry t name else drop_entry t name
 
 (* Evict least-recently-used entries until the byte total fits the
@@ -303,17 +307,20 @@ let sweep t =
         if Filename.check_suffix name ".tmp" then remove_file path
         else
           match parse_name name with
-          | None -> if Filename.check_suffix name suffix then discard_entry t name
+          | None ->
+              if Filename.check_suffix name suffix then
+                discard_entry t name ~reason:"malformed name"
           | Some (kind, key) -> (
               match read_valid path ~kind ~key with
-              | Some _ ->
+              | Ok _ ->
                   if not (Hashtbl.mem t.index name) then
                     (* Known file the index never saw (e.g. the index
                        was lost): adopt it as oldest, so LRU pressure
                        reaches it first. *)
                     Hashtbl.replace t.index name
                       { stamp = 0; bytes = (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0) }
-              | None | (exception Sys_error _) -> discard_entry t name))
+              | Error reason -> discard_entry t name ~reason
+              | exception Sys_error e -> discard_entry t name ~reason:e))
     (try Sys.readdir t.root with Sys_error _ -> [||]);
   (* And the reverse: index rows whose entry file is gone. *)
   let stale =
@@ -376,24 +383,22 @@ let find (type a) t ~kind ~key : a option =
         miss ()
       end
       else
+        let discard reason =
+          discard_entry t name ~reason;
+          save_index t;
+          publish_gauges t;
+          miss ()
+        in
         match read_valid path ~kind ~key with
-        | Some payload -> (
+        | Ok payload -> (
             match (Marshal.from_string payload 0 : a) with
             | v ->
                 bump t kind `Hit;
                 touch t name;
                 save_index t;
                 Some v
-            | exception _ ->
-                discard_entry t name;
-                save_index t;
-                publish_gauges t;
-                miss ())
-        | None ->
-            discard_entry t name;
-            save_index t;
-            publish_gauges t;
-            miss ()
+            | exception _ -> discard "payload does not unmarshal")
+        | Error reason -> discard reason
         | exception Sys_error _ -> miss ())
 
 let put t ~kind ~key v =
@@ -431,7 +436,7 @@ let mem t ~kind ~key =
       let path = entry_path t.root ~kind ~key in
       if
         Sys.file_exists path
-        && match read_valid path ~kind ~key with Some _ -> true | None | (exception Sys_error _) -> false
+        && match read_valid path ~kind ~key with Ok _ -> true | Error _ | (exception Sys_error _) -> false
       then begin
         bump t kind `Hit;
         touch t name;
@@ -479,8 +484,8 @@ let scrub t =
                   quarantine_entry t name
               | Some (kind, key) -> (
                   match read_valid path ~kind ~key with
-                  | Some _ -> incr ok
-                  | None | (exception Sys_error _) ->
+                  | Ok _ -> incr ok
+                  | Error _ | (exception Sys_error _) ->
                       incr bad;
                       quarantine_entry t name)
             end)

@@ -16,7 +16,8 @@
     Entries are never trusted: every file carries a versioned header
     with the payload's own digest, and anything that fails validation —
     wrong magic, older store version, digest mismatch, truncation — is
-    evicted (deleted) and treated as a miss.
+    evicted (deleted) and treated as a miss, with the reason logged to
+    {!Pld_telemetry.Log.default} (subsystem [store]).
 
     {b Concurrency.} All operations are safe from multiple domains of
     one process (a mutex per handle) {e and} from multiple processes
@@ -41,8 +42,9 @@ exception Store_error of string
 (** Raised when the cache directory cannot be created or written. *)
 
 val version : int
-(** Current on-disk format version. Bump on any layout change; entries
-    written by other versions are evicted on open. *)
+(** Current on-disk format version. Bump on any layout change —
+    including a change to a marshalled artifact record; entries written
+    by other versions are evicted on open. *)
 
 val open_ :
   ?max_bytes:int ->

@@ -6,8 +6,6 @@ type impl = {
   netlist : N.t;
   perf : Sched.perf;
   est_fmax_mhz : float;
-  hls_seconds : float;
-  syn_seconds : float;
 }
 
 let target_mhz = 300.0
@@ -23,19 +21,9 @@ let estimate_fmax netlist =
   Float.min target_mhz (1000.0 /. period_ns)
 
 let compile op =
-  let t0 = Unix.gettimeofday () in
   let perf = Sched.analyze op in
-  let t1 = Unix.gettimeofday () in
   let netlist = Synth.synthesize op in
-  let t2 = Unix.gettimeofday () in
-  {
-    op;
-    netlist;
-    perf;
-    est_fmax_mhz = estimate_fmax netlist;
-    hls_seconds = t1 -. t0;
-    syn_seconds = t2 -. t1;
-  }
+  { op; netlist; perf; est_fmax_mhz = estimate_fmax netlist }
 
 let report impl =
   let r = N.total_res impl.netlist in

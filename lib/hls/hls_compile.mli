@@ -7,8 +7,6 @@ type impl = {
   netlist : Pld_netlist.Netlist.t;
   perf : Sched.perf;
   est_fmax_mhz : float;  (** pre-place-and-route timing estimate *)
-  hls_seconds : float;  (** measured wall-clock of scheduling *)
-  syn_seconds : float;  (** measured wall-clock of synthesis *)
 }
 
 val compile : Op.t -> impl

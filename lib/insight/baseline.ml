@@ -2,20 +2,17 @@ module Json = Pld_telemetry.Json
 module Stats = Pld_util.Stats
 module Table = Pld_util.Table
 
-type stats = { n : int; median : float; mad : float; lo : float; hi : float }
+type stats = { n : int; median : float; lo : float; hi : float }
 
 let stats_of xs =
   if xs = [] then invalid_arg "Baseline.stats_of: empty sample list";
-  let med = Stats.median xs in
-  let mad = Stats.median (List.map (fun x -> Float.abs (x -. med)) xs) in
   let lo, hi = Stats.min_max xs in
-  { n = List.length xs; median = med; mad; lo; hi }
+  { n = List.length xs; median = Stats.median xs; lo; hi }
 
 type entry = {
   bench : string;
   level : string;
   exact : (string * float) list;
-  tool : (string * stats) list;
   wall : (string * stats) list;
 }
 
@@ -28,23 +25,15 @@ type snapshot = {
   entries : entry list;
 }
 
-let current_version = 1
+let current_version = 2
 
-type thresholds = {
-  exact_rel : float;
-  tool_rel : float;
-  tool_abs : float;
-  tool_mad_k : float;
-  wall_rel : float;
-  wall_abs : float;
-}
+type thresholds = { exact_rel : float; wall_rel : float; wall_abs : float }
 
-let default_thresholds =
-  { exact_rel = 1e-6; tool_rel = 0.02; tool_abs = 0.05; tool_mad_k = 4.0; wall_rel = 0.25; wall_abs = 0.02 }
+let default_thresholds = { exact_rel = 1e-6; wall_rel = 0.25; wall_abs = 0.02 }
 
-type metric_class = Exact | Tool | Wall
+type metric_class = Exact | Wall
 
-let class_name = function Exact -> "exact" | Tool -> "tool" | Wall -> "wall"
+let class_name = function Exact -> "exact" | Wall -> "wall"
 
 type status = Ok | Regression | Improvement | Missing | New
 
@@ -82,10 +71,6 @@ let higher_is_better = function
   | _ -> false
 
 (* ---------- comparison ---------- *)
-
-(* 1.4826 scales a MAD to the sigma of a normal distribution with the
-   same spread, so [tool_mad_k] reads as "k sigmas of observed noise". *)
-let mad_sigma = 1.4826
 
 let judge ~metric ~base ~cur ~band =
   if Float.abs (cur -. base) <= band then Ok
@@ -133,11 +118,6 @@ let compare_entry th ~exact_only (base : entry) (cur : entry) =
   if exact_only then exact
   else
     exact
-    @ pair Tool base.tool cur.tool
-        (fun b ->
-          Float.max th.tool_abs
-            (Float.max (th.tool_rel *. Float.abs b.median) (th.tool_mad_k *. mad_sigma *. b.mad)))
-        (fun s -> s.median)
     @ pair Wall base.wall cur.wall
         (fun b -> Float.max th.wall_abs (th.wall_rel *. Float.abs b.median))
         (fun s -> s.median)
@@ -207,7 +187,6 @@ let stats_json s =
     [
       ("n", Json.Int s.n);
       ("median", Json.Float s.median);
-      ("mad", Json.Float s.mad);
       ("lo", Json.Float s.lo);
       ("hi", Json.Float s.hi);
     ]
@@ -216,7 +195,6 @@ let stats_of_json j =
   {
     n = get_int "n" j;
     median = get_float "median" j;
-    mad = get_float "mad" j;
     lo = get_float "lo" j;
     hi = get_float "hi" j;
   }
@@ -227,7 +205,6 @@ let entry_json e =
       ("bench", Json.String e.bench);
       ("level", Json.String e.level);
       ("exact", Json.Obj (List.map (fun (m, v) -> (m, Json.Float v)) e.exact));
-      ("tool", Json.Obj (List.map (fun (m, s) -> (m, stats_json s)) e.tool));
       ("wall", Json.Obj (List.map (fun (m, s) -> (m, stats_json s)) e.wall));
     ]
 
@@ -241,7 +218,6 @@ let entry_of_json j =
     bench = get_str "bench" j;
     level = get_str "level" j;
     exact = List.map (fun (m, v) -> (m, number v)) (fields "exact" j);
-    tool = List.map (fun (m, v) -> (m, stats_of_json v)) (fields "tool" j);
     wall = List.map (fun (m, v) -> (m, stats_of_json v)) (fields "wall" j);
   }
 

@@ -1,22 +1,17 @@
 (** Versioned performance baselines with noise-aware comparison.
 
     A baseline snapshots the key metrics of a benchmark run so a later
-    run can be judged against it. Metrics fall into three classes with
-    very different noise characteristics, and the comparison thresholds
-    differ accordingly:
+    run can be judged against it. Metrics fall into two classes:
 
-    - {b exact} — deterministic outputs of the seeded flows
-      (cache hits, recompile counts, modeled overhead, Fmax, frame
-      cycles, ms/input). Any drift beyond float formatting is a real
-      behavior change and is flagged at a near-zero tolerance.
-    - {b tool} — modeled phase seconds (hls/syn/pnr/bitgen,
-      serial/parallel totals). The model embeds the {e measured}
-      runtime of the in-tree placement/routing/bitgen algorithms, so
-      these numbers carry machine noise on top of a stable signal;
-      they are stored as repeat statistics (median + MAD) and compared
-      with a band of relative, absolute and MAD-scaled slack.
-    - {b wall} — raw wall-clock of the executor run; the noisiest,
-      widest band.
+    - {b exact} — deterministic outputs of the seeded flows (cache
+      hits, recompile counts, modeled phase seconds from the work-unit
+      cost model, Fmax, frame cycles, ms/input). Any drift beyond float
+      formatting is a real behavior change and is flagged at a
+      near-zero tolerance; these are machine-portable.
+    - {b wall} — measured wall-clock and anything that depends on
+      timing (service latency, drain-dependent dedup counts), stored
+      as repeat statistics and compared with a wide band. Only
+      comparable on one machine.
 
     A regression is a metric {e worse} than its baseline beyond the
     band (slower, fewer cache hits, lower Fmax); an improvement is the
@@ -25,8 +20,8 @@
 
 module Json = Pld_telemetry.Json
 
-type stats = { n : int; median : float; mad : float; lo : float; hi : float }
-(** Repeat statistics: median, median absolute deviation, extremes. *)
+type stats = { n : int; median : float; lo : float; hi : float }
+(** Repeat statistics: median and extremes. *)
 
 val stats_of : float list -> stats
 (** Raises [Invalid_argument] on an empty list. *)
@@ -35,7 +30,6 @@ type entry = {
   bench : string;
   level : string;
   exact : (string * float) list;
-  tool : (string * stats) list;
   wall : (string * stats) list;
 }
 
@@ -52,16 +46,13 @@ val current_version : int
 
 type thresholds = {
   exact_rel : float;
-  tool_rel : float;
-  tool_abs : float;  (** seconds *)
-  tool_mad_k : float;  (** multiples of the baseline MAD-derived sigma *)
   wall_rel : float;
   wall_abs : float;  (** seconds *)
 }
 
 val default_thresholds : thresholds
 
-type metric_class = Exact | Tool | Wall
+type metric_class = Exact | Wall
 
 type status = Ok | Regression | Improvement | Missing | New
 (** [Missing]: in the baseline but not the current run; [New]: the
@@ -97,7 +88,7 @@ val compare_snapshots :
 (** Compare a current snapshot against its baseline. [exact_only]
     (default false) restricts the comparison to the exact class — the
     mode for checking against a baseline recorded on different
-    hardware, where tool/wall numbers are incomparable. *)
+    hardware, where wall numbers are incomparable. *)
 
 val to_json : snapshot -> Json.t
 val of_json : Json.t -> snapshot

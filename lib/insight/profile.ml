@@ -104,9 +104,14 @@ let flat spans =
     List.iter walk n.children
   in
   List.iter walk (forest spans);
+  (* A total order, so rows tied on self time (common at the clock's µs
+     resolution) render the same way every run. *)
   List.rev !order
   |> List.map (fun k -> Hashtbl.find acc k)
-  |> List.sort (fun a b -> compare b.self_s a.self_s)
+  |> List.sort (fun a b ->
+         match compare b.self_s a.self_s with
+         | 0 -> compare (a.name, a.cat, a.clock) (b.name, b.cat, b.clock)
+         | c -> c)
 
 let clock_name = function Telemetry.Wall -> "wall" | Telemetry.Modeled -> "modeled"
 
@@ -170,7 +175,8 @@ let rec aggregate nodes =
   |> List.map (fun key ->
          let c, t, s, kids = Hashtbl.find tbl key in
          { a_name = key; a_count = c; a_total = t; a_self = s; a_kids = aggregate kids })
-  |> List.sort (fun a b -> compare b.a_total a.a_total)
+  |> List.sort (fun a b ->
+         match compare b.a_total a.a_total with 0 -> compare a.a_name b.a_name | c -> c)
 
 let render_tree ?(min_s = 0.0005) spans =
   let buf = Buffer.create 256 in

@@ -44,9 +44,10 @@ let iso_now () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
-(* One (bench, level) cell: [repeats] cold-cache compiles for the
-   noisy classes, the first compile's report (plus one functional run)
-   for the deterministic ones. *)
+(* One (bench, level) cell: [repeats] cold-cache compiles for the wall
+   class, the first compile's report (plus one functional run) for the
+   deterministic ones — modeled seconds included, since the cost model
+   makes them a function of the work done. *)
 let measure_entry opts (b : Suite.bench) level =
   let fp = Fp.u50 () in
   let graph = b.Suite.graph (Pld_ir.Graph.Hw { page_hint = None }) in
@@ -56,28 +57,21 @@ let measure_entry opts (b : Suite.bench) level =
   in
   let apps = List.init (max 1 opts.repeats) (fun _ -> compile_once ()) in
   let reports = List.map (fun (a : B.app) -> a.B.report) apps in
-  let tool_samples f = List.map f reports in
-  let tool =
-    List.map
-      (fun (name, f) -> (name, Baseline.stats_of (tool_samples f)))
-      [
-        ("hls_seconds", fun (r : B.report) -> r.B.phases.Flow.hls);
-        ("syn_seconds", fun r -> r.B.phases.Flow.syn);
-        ("pnr_seconds", fun r -> r.B.phases.Flow.pnr);
-        ("bitgen_seconds", fun r -> r.B.phases.Flow.bitgen);
-        ("serial_seconds", fun r -> r.B.serial_seconds);
-        ("parallel_seconds", fun r -> r.B.parallel_seconds);
-      ]
-  in
-  let wall =
-    [ ("wall_seconds", Baseline.stats_of (tool_samples (fun r -> r.B.wall_seconds))) ]
-  in
+  let wall_s = List.map (fun (r : B.report) -> r.B.wall_seconds) reports in
+  let wall = [ ("wall_seconds", Baseline.stats_of wall_s) ] in
   let first = List.hd reports in
+  let p = first.B.phases in
   let exact =
     [
       ("cache_hits", float_of_int first.B.cache_hits);
       ("recompiled", float_of_int first.B.recompiled);
-      ("overhead_seconds", first.B.phases.Flow.overhead);
+      ("hls_seconds", p.Flow.hls);
+      ("syn_seconds", p.Flow.syn);
+      ("pnr_seconds", p.Flow.pnr);
+      ("bitgen_seconds", p.Flow.bitgen);
+      ("overhead_seconds", p.Flow.overhead);
+      ("serial_seconds", first.B.serial_seconds);
+      ("parallel_seconds", first.B.parallel_seconds);
     ]
     @
     if not opts.run_perf then []
@@ -90,7 +84,7 @@ let measure_entry opts (b : Suite.bench) level =
       ]
     end
   in
-  { Baseline.bench = b.Suite.name; level = B.level_name level; exact; tool; wall }
+  { Baseline.bench = b.Suite.name; level = B.level_name level; exact; wall }
 
 (* The service tier guards the daemon path: a fixed Zipf trace through
    a single-worker service. One worker serializes the compiles, so the
@@ -98,7 +92,7 @@ let measure_entry opts (b : Suite.bench) level =
    recompiles, store writes) are exact — every distinct artifact is
    built exactly once no matter how requests interleave. What depends
    on drain timing (dedup vs after-the-fact cache hits) and on the
-   machine (latency percentiles) goes in the noise-aware classes. *)
+   machine (latency percentiles) goes in the wall class. *)
 let service_traffic =
   {
     Pld_service.Traffic.default_options with
@@ -139,7 +133,7 @@ let measure_service opts =
   let runs = List.init (max 1 opts.repeats) run_once in
   let first = List.hd runs in
   let module Tr = Pld_service.Traffic in
-  let tool =
+  let wall =
     List.map
       (fun (name, f) -> (name, Baseline.stats_of (List.map f runs)))
       [
@@ -150,9 +144,9 @@ let measure_service opts =
         ("svc_deduped", fun s -> float_of_int s.Tr.sm_deduped);
         ("svc_cross_tenant_hits", fun s -> float_of_int s.Tr.sm_cross_hits);
         ("svc_cache_hits", fun s -> float_of_int s.Tr.sm_cache_hits);
+        ("wall_seconds", fun s -> s.Tr.sm_wall_seconds);
       ]
   in
-  let wall = [ ("wall_seconds", Baseline.stats_of (List.map (fun s -> s.Tr.sm_wall_seconds) runs)) ] in
   let exact =
     [
       ("svc_completed", float_of_int first.Tr.sm_completed);
@@ -166,7 +160,6 @@ let measure_service opts =
     Baseline.bench = "service";
     level = B.level_name service_traffic.Tr.level;
     exact;
-    tool;
     wall;
   }
 
@@ -196,7 +189,7 @@ let measure_chaos () =
     List.fold_left (fun acc s -> acc +. s.Chaos.sr_wall_s) 0.0 report.Chaos.r_scenarios
   in
   let wall = [ ("wall_seconds", Baseline.stats_of [ wall_s ]) ] in
-  { Baseline.bench = "chaos"; level = "seed7"; exact; tool = []; wall }
+  { Baseline.bench = "chaos"; level = "seed7"; exact; wall }
 
 (* The incremental tier guards the delta-P&R fast path: compile each
    bench cold at -O3, touch one operator, and recompile seeded with the
@@ -204,39 +197,22 @@ let measure_chaos () =
    reason) is deterministic given the seed, so it goes in the exact
    class — a placer or gate change that silently knocks a benchmark
    back to scratch compiles trips the sentinel. The scratch and delta
-   P&R times (and their ratio, the headline speedup) are wall-clock and
-   land in the noise-aware tool class. *)
+   P&R times (and their ratio, the headline speedup) are modeled from
+   the work each did, so they are exact too. *)
 let measure_incremental opts (b : Suite.bench) =
   let fp = Fp.u50 () in
   let g = b.Suite.graph (Pld_ir.Graph.Hw { page_hint = None }) in
   let victim = (List.hd g.Pld_ir.Graph.instances).Pld_ir.Graph.inst_name in
   let edited = Option.get (Pld_ir.Graph.touch_op g victim) in
-  let pnr_seconds (app : B.app) =
-    let p = (B.monolithic_exn app).Flow.pnr3 in
-    p.Pld_pnr.Pnr.place_seconds +. p.Pld_pnr.Pnr.route_seconds +. p.Pld_pnr.Pnr.sta_seconds
+  let pnr_seconds (app : B.app) = Pld_core.Cost.pnr (B.monolithic_exn app).Flow.pnr3 in
+  let cache = B.create_cache () in
+  let scratch = B.compile ~cache ~jobs:opts.jobs ~pace:opts.pace fp g ~level:B.O3 in
+  let delta =
+    B.compile ~cache ~jobs:opts.jobs ~pace:opts.pace ~previous:scratch fp edited ~level:B.O3
   in
-  let run_once () =
-    let cache = B.create_cache () in
-    let scratch = B.compile ~cache ~jobs:opts.jobs ~pace:opts.pace fp g ~level:B.O3 in
-    let delta =
-      B.compile ~cache ~jobs:opts.jobs ~pace:opts.pace ~previous:scratch fp edited ~level:B.O3
-    in
-    (scratch, delta)
-  in
-  let runs = List.init (max 1 opts.repeats) (fun _ -> run_once ()) in
-  let tool =
-    let stats f = Baseline.stats_of (List.map f runs) in
-    [
-      ("inc_scratch_pnr_seconds", stats (fun (s, _) -> pnr_seconds s));
-      ("inc_delta_pnr_seconds", stats (fun (_, d) -> pnr_seconds d));
-      ( "inc_speedup",
-        stats (fun (s, d) -> pnr_seconds s /. Float.max 1e-9 (pnr_seconds d)) );
-    ]
-  in
-  let _, first_delta = List.hd runs in
-  let stats = (B.monolithic_exn first_delta).Flow.pnr3.Pld_pnr.Pnr.delta in
-  let exact =
-    match stats with
+  let ss = pnr_seconds scratch and ds = pnr_seconds delta in
+  let path =
+    match (B.monolithic_exn delta).Flow.pnr3.Pld_pnr.Pnr.delta with
     | Some d ->
         [
           ( "inc_delta_hits",
@@ -246,7 +222,15 @@ let measure_incremental opts (b : Suite.bench) =
         ]
     | None -> [ ("inc_delta_hits", 0.0) ]
   in
-  { Baseline.bench = b.Suite.name; level = "incremental"; exact; tool; wall = [] }
+  let exact =
+    path
+    @ [
+        ("inc_scratch_pnr_seconds", ss);
+        ("inc_delta_pnr_seconds", ds);
+        ("inc_speedup", ss /. Float.max 1e-9 ds);
+      ]
+  in
+  { Baseline.bench = b.Suite.name; level = "incremental"; exact; wall = [] }
 
 let measure ?(suite = "rosetta") opts =
   let entries =
@@ -281,7 +265,6 @@ let perturb factors (s : Baseline.snapshot) =
         {
           st with
           Baseline.median = st.Baseline.median *. f;
-          mad = st.Baseline.mad *. Float.abs f;
           lo = Float.min (st.Baseline.lo *. f) (st.Baseline.hi *. f);
           hi = Float.max (st.Baseline.lo *. f) (st.Baseline.hi *. f);
         }
@@ -294,7 +277,6 @@ let perturb factors (s : Baseline.snapshot) =
           {
             e with
             Baseline.exact = List.map (fun (m, v) -> (m, scale m v)) e.Baseline.exact;
-            tool = List.map (fun (m, st) -> (m, scale_stats m st)) e.Baseline.tool;
             wall = List.map (fun (m, st) -> (m, scale_stats m st)) e.Baseline.wall;
           })
         s.Baseline.entries;

@@ -2,13 +2,12 @@
     judge a later run against it.
 
     [measure] rebuilds each selected benchmark at each selected level
-    [repeats] times, each repeat against a {e fresh} cache (so modeled
-    tool seconds are comparable run to run), and snapshots the result
-    as a {!Baseline.snapshot}: deterministic flow outputs in the exact
-    class, modeled phase seconds as repeat statistics in the tool
-    class, the executor's wall clock in the wall class. A functional
-    run supplies the performance-model metrics (Fmax, frame cycles,
-    ms/input), which are seeded and exact.
+    [repeats] times, each repeat against a {e fresh} cache, and
+    snapshots the result as a {!Baseline.snapshot}: deterministic flow
+    outputs — modeled phase seconds included — in the exact class, the
+    executor's wall clock as repeat statistics in the wall class. A
+    functional run supplies the performance-model metrics (Fmax, frame
+    cycles, ms/input), which are seeded and exact.
 
     [perturb] multiplies selected metrics of a snapshot — the
     self-test hook: a perturbed current run must fail its own
@@ -25,8 +24,8 @@ type options = {
       (** also replay a fixed Zipf trace through a single-worker
           {!Pld_service.Service} and snapshot a ["service"] entry:
           conservation counts (sessions completed, distinct graphs,
-          operator recompiles, store writes) in the exact class,
-          dedup/hit counts and latency percentiles in the tool class,
+          operator recompiles, store writes) in the exact class;
+          drain-dependent dedup/hit counts, latency percentiles and
           wall time in the wall class *)
   run_chaos : bool;
       (** also run the deterministic {!Pld_service.Chaos} scenarios
@@ -41,12 +40,11 @@ type options = {
       (** also, per selected bench, compile cold at -O3, touch one
           operator ({!Pld_ir.Graph.touch_op}) and recompile seeded with
           the previous build, snapshotting an ["incremental"]-level
-          entry: whether the delta path served the recompile
-          ([inc_delta_hits]), cells kept and nets rerouted in the exact
-          class; scratch/delta P&R seconds and their ratio
-          ([inc_speedup]) in the tool class. A change that silently
-          knocks a benchmark back to scratch compiles trips the
-          sentinel here. *)
+          entry, all exact: whether the delta path served the recompile
+          ([inc_delta_hits]), cells kept, nets rerouted, and the
+          modeled scratch/delta P&R seconds and their ratio
+          ([inc_speedup]). A change that silently knocks a benchmark
+          back to scratch compiles trips the sentinel here. *)
 }
 
 val default_options : options
@@ -64,7 +62,7 @@ val measure : ?suite:string -> options -> Baseline.snapshot
 
 val perturb : (string * float) list -> Baseline.snapshot -> Baseline.snapshot
 (** [(metric, factor)] pairs; every metric with a matching name (in
-    any entry, any class) is scaled by its factor. *)
+    any entry, either class) is scaled by its factor. *)
 
 val check :
   base_file:string ->

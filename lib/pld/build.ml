@@ -150,6 +150,15 @@ let find_profile c ~key =
 
 let put_profile c ~key doc = cache_put c c.profiles ~kind:kind_profile ~key ~emit:(fun _ -> ()) doc
 
+(* ---------- incremental state ---------- *)
+
+let kind_state = "state"
+let state_key ~name level = Digest.of_parts [ name; level_name level ]
+let save_state store ~name (app : app) = Store.put store ~kind:kind_state ~key:(state_key ~name app.level) app
+
+let load_state store ~name level : app option =
+  Store.find store ~kind:kind_state ~key:(state_key ~name level)
+
 (* ---------- models ---------- *)
 
 let makespan = Pld_engine.Makespan.lpt

@@ -125,6 +125,19 @@ val put_profile : cache -> key:Pld_util.Digest_lite.t -> Pld_telemetry.Json.t ->
     the read-only view: in-memory always, on disk only when this cache
     persists. *)
 
+(** {2 Incremental state}
+
+    The last build of a graph at a level, kept across processes to seed
+    the next compile's delta P&R ([pldc --incremental-from]). It lives
+    in a {!Pld_engine.Store} under its own kind, so it carries the
+    store's versioned header and digest and is written atomically: a
+    state from another build, or a torn one, reads as a logged miss. *)
+
+val save_state : Pld_engine.Store.t -> name:string -> app -> unit
+(** Stores [app] as the state of [name] at the app's level. *)
+
+val load_state : Pld_engine.Store.t -> name:string -> level -> app option
+
 val compile :
   ?cache:cache ->
   ?workers:int ->

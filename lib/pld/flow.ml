@@ -27,14 +27,6 @@ type phase_times = { hls : float; syn : float; pnr : float; bitgen : float; over
 
 let total_seconds t = t.hls +. t.syn +. t.pnr +. t.bitgen +. t.overhead
 
-(* Fixed backend costs per invocation (scaled ~1/10 of the vendor
-   tool's startup/context-load times; see DESIGN.md). The abstract
-   shell makes the page-scoped context load far cheaper than the
-   monolithic one — that asymmetry is the point of §4.1. *)
-let o1_overhead = 0.7
-let o3_overhead = 4.0
-let o0_overhead = 0.08
-
 type o1_operator = {
   inst : string;
   op : Op.t;
@@ -98,9 +90,7 @@ let pack_with_leaf (impl : Hls.impl) =
 
 let compile_o1_operator ?(seed = 7) ?impl (fp : Fp.t) ~page ~inst op =
   let impl = match impl with Some i -> i | None -> Hls.compile op in
-  let t0 = Unix.gettimeofday () in
   let packed = pack_with_leaf impl in
-  let pack_seconds = Unix.gettimeofday () -. t0 in
   let pg = Fp.find_page fp page in
   let pins =
     List.map (fun (p : Op.port) -> (p.port_name, pg.Fp.noc_leaf)) (op.Op.inputs @ op.Op.outputs)
@@ -122,19 +112,18 @@ let compile_o1_operator ?(seed = 7) ?impl (fp : Fp.t) ~page ~inst op =
     xclbin;
     times =
       {
-        hls = impl.Hls.hls_seconds;
-        syn = impl.Hls.syn_seconds +. pack_seconds;
-        pnr = pnr.Pnr.place_seconds +. pnr.Pnr.route_seconds +. pnr.Pnr.sta_seconds;
-        bitgen = pnr.Pnr.bitgen_seconds;
-        overhead = o1_overhead;
+        hls = Cost.hls impl;
+        syn = Cost.syn impl +. Cost.pack packed;
+        pnr = Cost.pnr pnr;
+        bitgen = Cost.bitgen pnr;
+        overhead = Cost.o1_overhead;
       };
   }
 
 let compile_o0_operator ~page ~inst op =
-  let t0 = Unix.gettimeofday () in
   let program = Pld_riscv.Codegen.compile op in
   let elf = Pld_riscv.Elf.pack ~page program in
-  let riscv_seconds = Unix.gettimeofday () -. t0 +. o0_overhead in
+  let riscv_seconds = Cost.riscv program +. Cost.o0_overhead in
   { inst0 = inst; op0 = op; page0 = page; program; elf; xclbin0 = Xclbin.softcore ~page elf; riscv_seconds }
 
 let compile_o3 ?(seed = 7) ?(vitis_baseline = false) ?previous ?(pnr_seeds = []) (fp : Fp.t)
@@ -143,7 +132,6 @@ let compile_o3 ?(seed = 7) ?(vitis_baseline = false) ?previous ?(pnr_seeds = [])
   let impls =
     List.map (fun (i : Graph.instance) -> (i.inst_name, Hls.compile i.op)) g.instances
   in
-  let t0 = Unix.gettimeofday () in
   let merged =
     N.merge
       ~name:(g.graph_name ^ if vitis_baseline then "_vitis" else "_o3")
@@ -164,7 +152,6 @@ let compile_o3 ?(seed = 7) ?(vitis_baseline = false) ?previous ?(pnr_seeds = [])
            if vitis_baseline then None else Some (src, dst, "fifo_" ^ chan, c.Graph.depth))
   in
   let merged = if links = [] then merged else N.add_fifo_links merged links in
-  let syn_extra = Unix.gettimeofday () -. t0 in
   (* Three P&R paths: delta from a previous result (incremental edit),
      a multi-seed race (cold compile with idle cores), or the plain
      single-seed anneal. *)
@@ -192,10 +179,10 @@ let compile_o3 ?(seed = 7) ?(vitis_baseline = false) ?previous ?(pnr_seeds = [])
     xclbin3;
     times3 =
       {
-        hls = List.fold_left (fun acc (_, i) -> acc +. i.Hls.hls_seconds) 0.0 impls;
-        syn = List.fold_left (fun acc (_, i) -> acc +. i.Hls.syn_seconds) 0.0 impls +. syn_extra;
-        pnr = pnr3.Pnr.place_seconds +. pnr3.Pnr.route_seconds +. pnr3.Pnr.sta_seconds;
-        bitgen = pnr3.Pnr.bitgen_seconds;
-        overhead = o3_overhead;
+        hls = List.fold_left (fun acc (_, i) -> acc +. Cost.hls i) 0.0 impls;
+        syn = List.fold_left (fun acc (_, i) -> acc +. Cost.syn i) 0.0 impls +. Cost.pack merged;
+        pnr = Cost.pnr pnr3;
+        bitgen = Cost.bitgen pnr3;
+        overhead = Cost.o3_overhead;
       };
   }

@@ -2,10 +2,10 @@
     (separate per-page place & route, Fig. 6), -O3 (monolithic,
     Fig. 7), plus the undecomposed Vitis baseline.
 
-    Phase seconds combine the measured wall-clock of our own algorithms
-    with fixed per-invocation overheads modelling backend-tool startup
-    and context loading (the cost the abstract shell shrinks but never
-    removes); the two components are kept separate in {!phase_times}. *)
+    Phase seconds are modeled by {!Cost}: the work each tool did times
+    a per-unit constant, with the fixed per-invocation overheads of
+    backend-tool startup and context loading (the cost the abstract
+    shell shrinks but never removes) kept separate in {!phase_times}. *)
 
 open Pld_ir
 

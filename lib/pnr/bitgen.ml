@@ -1,12 +1,11 @@
 open Pld_fabric
 module N = Pld_netlist.Netlist
 
-type t = { target : Floorplan.rect; frames : bytes; crc : string; seconds : float }
+type t = { target : Floorplan.rect; frames : bytes; crc : string }
 
 let frames_per_tile = 96
 
 let generate ~region ~placement ~routes (nl : N.t) =
-  let t0 = Unix.gettimeofday () in
   let w = region.Floorplan.x1 - region.Floorplan.x0 + 1 in
   let h = region.Floorplan.y1 - region.Floorplan.y0 + 1 in
   let size = w * h * frames_per_tile in
@@ -34,6 +33,6 @@ let generate ~region ~placement ~routes (nl : N.t) =
         r.Route.edges)
     routes;
   let crc = Pld_util.Digest_lite.of_string (Bytes.to_string frames) in
-  { target = region; frames; crc; seconds = Unix.gettimeofday () -. t0 }
+  { target = region; frames; crc }
 
 let size_bytes t = Bytes.length t.frames

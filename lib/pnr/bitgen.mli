@@ -10,7 +10,6 @@ type t = {
   target : Floorplan.rect;
   frames : bytes;
   crc : string;
-  seconds : float;
 }
 
 val generate :

@@ -7,7 +7,6 @@ type result = {
   wirelength : int;
   overfill : float;
   moves_evaluated : int;
-  seconds : float;
 }
 
 let fits_region device region nl =
@@ -51,7 +50,6 @@ let intrinsic_overfill ~device ~region (nl : N.t) =
    move, and the schedule drops to a short low-temperature pass sized
    to the movable subset — the delta-P&R placement reuse. *)
 let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
-  let t_start = Unix.gettimeofday () in
   if not (fits_region device region nl) then
     invalid_arg
       (Printf.sprintf "Place.run: %s does not fit region (%s needed)" nl.N.nl_name
@@ -329,7 +327,6 @@ let run_core ~seed ~effort ~pins ~refine ~device ~region (nl : N.t) =
     wirelength = total_wl ();
     overfill = total_over ();
     moves_evaluated = !moves;
-    seconds = Unix.gettimeofday () -. t_start;
   }
 
 let run ?(seed = 1) ?(effort = 1.0) ?(pins = []) ~device ~region nl =

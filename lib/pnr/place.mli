@@ -13,8 +13,7 @@ type result = {
   positions : (int * int) array;  (** cell id → tile (x, y) *)
   wirelength : int;  (** total half-perimeter wirelength *)
   overfill : float;  (** residual capacity violation (0 = legal) *)
-  moves_evaluated : int;
-  seconds : float;
+  moves_evaluated : int;  (** the placer's work unit (see [Pld_core.Cost]) *)
 }
 
 val fits_region : Device.t -> Floorplan.rect -> N.t -> bool

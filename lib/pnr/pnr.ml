@@ -17,47 +17,29 @@ type result = {
   route : Route.result;
   timing : Sta.result;
   bitstream : Bitgen.t;
-  place_seconds : float;
-  route_seconds : float;
-  sta_seconds : float;
-  bitgen_seconds : float;
-  seconds : float;
   delta : delta_stats option;
 }
 
 let routed_ok r = r.place.Place.overfill = 0.0 && r.route.Route.overused_edges = 0
 
-(* STA and bitgen on a finished placement/routing, with phase timing. *)
-let finish ~t0 ~netlist ~region ~place ~route ~clock_target_mhz ~delta =
-  let t_sta = Unix.gettimeofday () in
-  let timing = Sta.analyze ~clock_target_mhz netlist ~net_delay_ns:route.Route.net_delay_ns in
-  let t_bit = Unix.gettimeofday () in
+(* STA (unless the caller already ran it) and bitgen on a finished
+   placement/routing. *)
+let finish ?timing ~netlist ~region ~place ~route ~clock_target_mhz ~delta () =
+  let timing =
+    match timing with
+    | Some t -> t
+    | None -> Sta.analyze ~clock_target_mhz netlist ~net_delay_ns:route.Route.net_delay_ns
+  in
   let bitstream =
     Bitgen.generate ~region ~placement:place.Place.positions
       ~routes:(Array.to_list route.Route.routes) netlist
   in
-  let t_end = Unix.gettimeofday () in
-  {
-    netlist;
-    region;
-    placement = place.Place.positions;
-    place;
-    route;
-    timing;
-    bitstream;
-    place_seconds = place.Place.seconds;
-    route_seconds = route.Route.seconds;
-    sta_seconds = t_bit -. t_sta;
-    bitgen_seconds = t_end -. t_bit;
-    seconds = t_end -. t0;
-    delta;
-  }
+  { netlist; region; placement = place.Place.positions; place; route; timing; bitstream; delta }
 
 let implement ?(seed = 1) ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pins = []) ~device ~region nl =
-  let t0 = Unix.gettimeofday () in
   let place = Place.run ~seed ~effort ~pins ~device ~region nl in
   let route = Route.run ~seed ~device ~region ~placement:place.Place.positions nl in
-  finish ~t0 ~netlist:nl ~region ~place ~route ~clock_target_mhz ~delta:None
+  finish ~netlist:nl ~region ~place ~route ~clock_target_mhz ~delta:None ()
 
 (* Edits larger than this fraction of the netlist go back to scratch:
    the refinement would move most cells anyway, without the hot start's
@@ -66,12 +48,10 @@ let max_change_fraction = 0.5
 
 let implement_delta ?(seed = 1) ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pins = [])
     ?previous ~device ~region nl =
-  let t0 = Unix.gettimeofday () in
   let scratch reason =
     let r = implement ~seed ~effort ~clock_target_mhz ~pins ~device ~region nl in
     {
       r with
-      seconds = Unix.gettimeofday () -. t0;
       delta =
         Some
           {
@@ -159,7 +139,7 @@ let implement_delta ?(seed = 1) ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pi
                     fallback = None;
                   }
               in
-              finish ~t0 ~netlist:nl ~region ~place ~route ~clock_target_mhz ~delta
+              finish ~netlist:nl ~region ~place ~route ~clock_target_mhz ~delta ()
             end
           end
         end
@@ -171,7 +151,6 @@ let implement_multi ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pins = []) ?te
   | [] -> invalid_arg "Pnr.implement_multi: empty seed list"
   | [ s ] -> implement ~seed:s ~effort ~clock_target_mhz ~pins ~device ~region nl
   | _ ->
-      let t0 = Unix.gettimeofday () in
       let module J = Pld_engine.Jobgraph in
       let module X = Pld_engine.Executor in
       let nodes =
@@ -180,44 +159,23 @@ let implement_multi ?(effort = 1.0) ?(clock_target_mhz = 300.0) ?(pins = []) ?te
             J.node ~id:(Printf.sprintf "pnr:seed%d" s) ~kind:"pnr" (fun _ctx ->
                 let place = Place.run ~seed:s ~effort ~pins ~device ~region nl in
                 let route = Route.run ~seed:s ~device ~region ~placement:place.Place.positions nl in
-                let t_sta = Unix.gettimeofday () in
                 let timing = Sta.analyze ~clock_target_mhz nl ~net_delay_ns:route.Route.net_delay_ns in
-                (s, place, route, timing, Unix.gettimeofday () -. t_sta)))
+                (s, place, route, timing)))
           seeds
       in
       let r = X.run ?telemetry ~workers:(List.length seeds) (J.make nodes) in
       let candidates = List.map snd r.X.artifacts in
       (* Deterministic pick: legal first, then best post-STA timing,
          then lowest seed. *)
-      let score (s, (place : Place.result), (route : Route.result), (timing : Sta.result), _) =
+      let score (s, (place : Place.result), (route : Route.result), (timing : Sta.result)) =
         let legal = place.Place.overfill = 0.0 && route.Route.overused_edges = 0 in
         ((if legal then 0 else 1), -.timing.Sta.fmax_mhz, timing.Sta.critical_path_ns, s)
       in
       let best =
         List.sort (fun a b -> compare (score a) (score b)) candidates |> List.hd
       in
-      let _, place, route, timing, sta_seconds = best in
-      let t_bit = Unix.gettimeofday () in
-      let bitstream =
-        Bitgen.generate ~region ~placement:place.Place.positions
-          ~routes:(Array.to_list route.Route.routes) nl
-      in
-      let t_end = Unix.gettimeofday () in
-      {
-        netlist = nl;
-        region;
-        placement = place.Place.positions;
-        place;
-        route;
-        timing;
-        bitstream;
-        place_seconds = place.Place.seconds;
-        route_seconds = route.Route.seconds;
-        sta_seconds;
-        bitgen_seconds = t_end -. t_bit;
-        seconds = t_end -. t0;
-        delta = None;
-      }
+      let _, place, route, timing = best in
+      finish ~timing ~netlist:nl ~region ~place ~route ~clock_target_mhz ~delta:None ()
 
 let report r =
   let delta_line =
@@ -236,9 +194,9 @@ let report r =
      wirelength: %d  overfill: %.1f  route overuse: %d (after %d iterations)\n\
      critical path: %.2f ns -> Fmax %.0f MHz\n\
      bitstream: %d bytes (crc %s)\n\
-     time: place %.2fs route %.2fs sta %.2fs bit %.2fs (total %.2fs)%s"
+     work: %d SA moves, %d nets routed (%d heap pops)%s"
     r.netlist.N.nl_name r.region.Floorplan.x0 r.region.Floorplan.y0 r.region.Floorplan.x1
     r.region.Floorplan.y1 r.place.Place.wirelength r.place.Place.overfill
     r.route.Route.overused_edges r.route.Route.iterations r.timing.Sta.critical_path_ns
     r.timing.Sta.fmax_mhz (Bitgen.size_bytes r.bitstream) r.bitstream.Bitgen.crc
-    r.place_seconds r.route_seconds r.sta_seconds r.bitgen_seconds r.seconds delta_line
+    r.place.Place.moves_evaluated r.route.Route.nets_routed r.route.Route.heap_pops delta_line

@@ -32,11 +32,6 @@ type result = {
   route : Route.result;
   timing : Sta.result;
   bitstream : Bitgen.t;
-  place_seconds : float;
-  route_seconds : float;
-  sta_seconds : float;
-  bitgen_seconds : float;
-  seconds : float;  (** total wall-clock (place+route+sta+bitgen) *)
   delta : delta_stats option;
       (** present iff the result came from {!implement_delta} *)
 }

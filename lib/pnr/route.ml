@@ -10,17 +10,18 @@ type result = {
   iterations : int;
   overused_edges : int;
   total_wire : int;
-  seconds : float;
   net_delay_ns : float array;
   nets_routed : int;
+  heap_pops : int;
   history : float array;
 }
 
 type reuse = { prev : result; keep : (int * int) list }
 
 (* Dijkstra from a source node to one sink with congestion-aware edge
-   costs; returns the edge list (or [] if sink = source). *)
-let shortest rrg cost src dst =
+   costs; returns the edge list (or [] if sink = source). Counts its
+   heap pops into [pops], the router's work unit. *)
+let shortest rrg cost ~pops src dst =
   let dist = Array.make rrg.Rrg.nodes infinity in
   let back = Array.make rrg.Rrg.nodes (-1) in
   let pq = Pq.create () in
@@ -31,6 +32,7 @@ let shortest rrg cost src dst =
     match Pq.pop pq with
     | None -> finished := true
     | Some (d, u) ->
+        incr pops;
         if u = dst then finished := true
         else if d <= dist.(u) then
           List.iter
@@ -58,7 +60,6 @@ let shortest rrg cost src dst =
 
 let run ?(seed = 1) ?(max_iterations = 14) ?reuse ~device ~region ~placement (nl : N.t) =
   ignore seed;
-  let t0 = Unix.gettimeofday () in
   (* Incremental runs reuse the previous RRG (same device/region — the
      caller's contract) instead of rebuilding it. *)
   let rrg = match reuse with Some r -> r.prev.rrg | None -> Rrg.build device region in
@@ -102,7 +103,7 @@ let run ?(seed = 1) ?(max_iterations = 14) ?reuse ~device ~region ~placement (nl
           r.keep;
         d
   in
-  let nets_routed = ref 0 in
+  let nets_routed = ref 0 and heap_pops = ref 0 in
   let route_net ni =
     incr nets_routed;
     let n = nl.N.nets.(ni) in
@@ -117,7 +118,7 @@ let run ?(seed = 1) ?(max_iterations = 14) ?reuse ~device ~region ~placement (nl
           let dst = node_of_cell sink in
           if dst = src then []
           else
-            match shortest rrg cost src dst with
+            match shortest rrg cost ~pops:heap_pops src dst with
             | Some path ->
                 let d = List.fold_left (fun acc ei -> acc +. rrg.Rrg.edges.(ei).Rrg.delay_ns) 0.0 path in
                 if d > sink_delay.(ni) then sink_delay.(ni) <- d;
@@ -169,8 +170,8 @@ let run ?(seed = 1) ?(max_iterations = 14) ?reuse ~device ~region ~placement (nl
     iterations = !iterations;
     overused_edges = overused ();
     total_wire = Array.fold_left (fun acc r -> acc + List.length r.edges) 0 routes;
-    seconds = Unix.gettimeofday () -. t0;
     net_delay_ns;
     nets_routed = !nets_routed;
+    heap_pops = !heap_pops;
     history;
   }

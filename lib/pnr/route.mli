@@ -12,11 +12,11 @@ type result = {
   iterations : int;
   overused_edges : int;  (** 0 = fully legal routing *)
   total_wire : int;
-  seconds : float;
   net_delay_ns : float array;  (** per net, driver→farthest sink *)
   nets_routed : int;
       (** [route_net] invocations — on an incremental run, the rip-up
           set's size plus congestion-driven reroutes *)
+  heap_pops : int;  (** Dijkstra heap pops over all nets: the router's work unit *)
   history : float array;
       (** per-edge negotiated-congestion history at exit — the state an
           incremental rerun resumes from *)

@@ -173,6 +173,58 @@ let test_persistent_incremental () =
   check_bool "edited page recompiled against new source" false
     ((page_of cold "stage3").Flow.op = (page_of inc "stage3").Flow.op)
 
+(* [--incremental-from] state is a store entry: a state written by
+   another build (older store version) or torn mid-write must read as a
+   miss with its reason logged, and the next compile runs from scratch
+   instead of seeding delta P&R from misread memory. *)
+let test_stale_state_degrades_to_scratch () =
+  let module Store = Pld_engine.Store in
+  let module Log = Pld_telemetry.Log in
+  let dir = ".test-store-state" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let g = pipeline 3 in
+  let g' = Option.get (Graph.touch_op g "stage1") in
+  let cold = Build.compile fp g ~level:Build.O3 in
+  let state_file () =
+    List.find
+      (fun f -> String.length f > 6 && String.sub f 0 6 = "state-")
+      (Array.to_list (Sys.readdir dir))
+    |> Filename.concat dir
+  in
+  let resume () =
+    let previous = Build.load_state (Store.open_ ~dir ()) ~name:"pipe" Build.O3 in
+    let app = Build.compile ?previous fp g' ~level:Build.O3 in
+    (previous <> None, (Build.monolithic_exn app).Flow.pnr3.Pld_pnr.Pnr.delta <> None)
+  in
+  let logged reason =
+    List.exists
+      (fun (e : Log.event) ->
+        e.Log.ev_sub = "store"
+        && List.exists (fun (k, v) -> k = "reason" && v = reason) e.Log.ev_fields)
+      (Log.events Log.default)
+  in
+  let save () = Build.save_state (Store.open_ ~dir ()) ~name:"pipe" cold in
+  save ();
+  Alcotest.(check (pair bool bool)) "valid state seeds delta P&R" (true, true) (resume ());
+  (* The same bytes under the previous format version's header. *)
+  let file = state_file () in
+  let data = In_channel.with_open_bin file In_channel.input_all in
+  let cur = Printf.sprintf "v%d " Store.version and old = Printf.sprintf "v%d " (Store.version - 1) in
+  let i = String.length "PLD-ARTIFACT " and n = String.length cur in
+  check_bool "header carries the store version" true (String.sub data i n = cur);
+  let rest = String.sub data (i + n) (String.length data - i - n) in
+  Out_channel.with_open_bin file (fun oc -> output_string oc (String.sub data 0 i ^ old ^ rest));
+  Alcotest.(check (pair bool bool)) "old-version state: scratch compile" (false, false) (resume ());
+  check_bool "old version logged" true
+    (logged (Printf.sprintf "written by store v%d, this build reads v%d" (Store.version - 1) Store.version));
+  save ();
+  let file = state_file () in
+  let data = In_channel.with_open_bin file In_channel.input_all in
+  Out_channel.with_open_bin file (fun oc -> output_string oc (String.sub data 0 (String.length data / 2)));
+  Alcotest.(check (pair bool bool)) "truncated state: scratch compile" (false, false) (resume ());
+  check_bool "truncation logged" true (logged "truncated payload")
+
 let test_cache_stats_per_kind () =
   let cache = Build.create_cache () in
   let g = Graph.retarget (pipeline 3) "stage1" Graph.Riscv in
@@ -201,11 +253,9 @@ let test_kind_partition_no_collision () =
 
 let test_executor_determinism () =
   (* A sequential (-j1) and a parallel (-j4) cold build of the same graph
-     produce identical artifacts and reports, modulo timing: every
-     seconds field (even the "modeled" tool times) is derived from
-     measured simulator runtime and varies run to run, so determinism
-     means the semantic payload — netlists, placements, bitstreams,
-     assignment, trace structure — is bit-identical. *)
+     produce identical artifacts and reports, modulo measured wall-clock:
+     the semantic payload — netlists, placements, bitstreams, assignment,
+     trace structure — and every modeled seconds field are bit-identical. *)
   let build jobs = Build.compile ~cache:(Build.create_cache ()) ~jobs fp (pipeline 6) ~level:Build.O1 in
   let a = build 1 and b = build 4 in
   let semantic (app : Build.app) =
@@ -235,17 +285,18 @@ let test_executor_determinism () =
   check_int "same recompiles" a.Build.report.Build.recompiled b.Build.report.Build.recompiled;
   Alcotest.(check (list (triple string int int)))
     "same per-kind stats" a.Build.report.Build.by_kind b.Build.report.Build.by_kind;
+  let modeled (r : Build.report) =
+    (r.Build.phases, r.Build.per_op_seconds, r.Build.serial_seconds, r.Build.parallel_seconds)
+  in
+  check_bool "identical modeled seconds" true (modeled a.Build.report = modeled b.Build.report);
   let canonical (r : Build.report) =
     List.sort compare
       (List.filter_map
-         (fun e ->
-           match e with
-           | Pld_engine.Event.Graph_start _ -> None
-           | e -> Some (Pld_engine.Event.to_string (Pld_engine.Event.strip_timing e)))
+         (function Pld_engine.Event.Graph_start _ -> None | e -> Some (Pld_engine.Event.strip_timing e))
          r.Build.events)
   in
-  Alcotest.(check (list string)) "identical traces modulo timing"
-    (canonical a.Build.report) (canonical b.Build.report)
+  check_bool "identical traces, modeled seconds included, modulo wall-clock" true
+    (canonical a.Build.report = canonical b.Build.report)
 
 let test_parallel_jobs_faster () =
   (* Paced so each job sleeps off its modeled tool time: four domains
@@ -501,6 +552,7 @@ let suite =
     ("compile mixed pragmas", `Quick, test_compile_mixed_targets);
     ("incremental cache", `Slow, test_incremental_cache);
     ("persistent store: 1-op edit recompiles 1 page", `Slow, test_persistent_incremental);
+    ("stale incremental state degrades to scratch", `Quick, test_stale_state_degrades_to_scratch);
     ("cache stats per kind", `Quick, test_cache_stats_per_kind);
     ("cache kinds cannot collide", `Quick, test_kind_partition_no_collision);
     ("executor: -j1 = -j4 artifacts", `Slow, test_executor_determinism);
