@@ -12,7 +12,6 @@
 open Pld_rosetta
 module B = Pld_core.Build
 module R = Pld_core.Runner
-module Sentinel = Pld_insight.Sentinel
 module Fp = Pld_fabric.Floorplan
 module N = Pld_netlist.Netlist
 module Table = Pld_util.Table
@@ -853,7 +852,7 @@ let service args =
         opts := { !opts with Traffic.max_chain = int_of_string n };
         parse rest
     | "--level" :: s :: rest ->
-        (match Sentinel.level_of_string s with
+        (match B.level_of_string s with
         | Some l -> opts := { !opts with Traffic.level = l }
         | None ->
             Printf.eprintf "service: unknown level %S\n" s;

@@ -41,12 +41,10 @@ let die ?(code = 1) msg =
   exit code
 
 let level_conv =
-  let parse = function
-    | "-O0" | "O0" | "0" -> Ok B.O0
-    | "-O1" | "O1" | "1" -> Ok B.O1
-    | "-O3" | "O3" | "3" -> Ok B.O3
-    | "vitis" -> Ok B.Vitis
-    | s -> Error (`Msg (Printf.sprintf "unknown level %S (use O0, O1, O3 or vitis)" s))
+  let parse s =
+    match B.level_of_string s with
+    | Some l -> Ok l
+    | None -> Error (`Msg (Printf.sprintf "unknown level %S (use O0, O1, O3 or vitis)" s))
   in
   Arg.conv (parse, fun fmt l -> Format.pp_print_string fmt (B.level_name l))
 
@@ -801,15 +799,6 @@ let sentinel_opts_term =
       & opt (list level_conv) Sentinel.default_options.Sentinel.levels
       & info [ "levels" ] ~docv:"LEVELS" ~doc:"Comma-separated levels to measure.")
   in
-  let repeats_arg =
-    Arg.(
-      value
-      & opt int Sentinel.default_options.Sentinel.repeats
-      & info [ "repeats" ] ~docv:"N" ~doc:"Cold-cache compile repeats per (bench, level) cell.")
-  in
-  let sjobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Executor domains per compile.")
-  in
   let no_perf_arg =
     Arg.(
       value & flag
@@ -837,13 +826,10 @@ let sentinel_opts_term =
             "Skip the incremental tier (one-operator edit recompiled through delta P&R per \
              bench).")
   in
-  let mk benches levels repeats pace jobs no_perf no_service no_chaos no_incremental =
+  let mk benches levels no_perf no_service no_chaos no_incremental =
     {
       Sentinel.benches;
       levels;
-      repeats;
-      pace;
-      jobs;
       run_perf = not no_perf;
       run_service = not no_service;
       run_chaos = not no_chaos;
@@ -851,16 +837,15 @@ let sentinel_opts_term =
     }
   in
   Term.(
-    const mk $ benches_arg $ levels_arg $ repeats_arg $ pace_arg $ sjobs_arg $ no_perf_arg
-    $ no_service_arg $ no_chaos_arg $ no_incremental_arg)
+    const mk $ benches_arg $ levels_arg $ no_perf_arg $ no_service_arg $ no_chaos_arg
+    $ no_incremental_arg)
 
 let baseline_save_cmd =
   let doc = "Measure the suite and save the snapshot as the new baseline." in
   let run file opts =
-    Printf.printf "measuring %s at %s (%d repeats)...\n%!"
+    Printf.printf "measuring %s at %s...\n%!"
       (String.concat "," opts.Sentinel.benches)
-      (String.concat "," (List.map B.level_name opts.Sentinel.levels))
-      opts.Sentinel.repeats;
+      (String.concat "," (List.map B.level_name opts.Sentinel.levels));
     let snap = Sentinel.measure opts in
     (match Filename.dirname file with
     | "" | "." -> ()
@@ -872,14 +857,6 @@ let baseline_save_cmd =
 
 let baseline_check_cmd =
   let doc = "Measure the suite and fail (exit 1) if it regressed against the baseline." in
-  let exact_only_arg =
-    Arg.(
-      value & flag
-      & info [ "exact-only" ]
-          ~doc:
-            "Compare only the deterministic (exact) metric class — for baselines recorded on \
-             different hardware, where wall-clock metrics are not comparable.")
-  in
   let perturb_arg =
     Arg.(
       value
@@ -895,17 +872,16 @@ let baseline_check_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Write machine-readable findings (REGRESSION.json).")
   in
-  let run file opts exact_only out perturb =
+  let run file opts out perturb =
     if not (Sys.file_exists file) then
       die ~code:2 (Printf.sprintf "no baseline at %s (record one with `pldc baseline save`)" file);
     let current = Sentinel.perturb perturb (Sentinel.measure opts) in
-    let verdict = Sentinel.check ~base_file:file ~exact_only ?out current in
+    let verdict = Sentinel.check ~base_file:file ?out current in
     print_string (Baseline.render_verdict verdict);
     if not verdict.Baseline.ok then exit 1
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(
-      const run $ baseline_file_arg $ sentinel_opts_term $ exact_only_arg $ out_arg $ perturb_arg)
+    Term.(const run $ baseline_file_arg $ sentinel_opts_term $ out_arg $ perturb_arg)
 
 let baseline_cmd =
   let doc = "Record or enforce a performance baseline (the regression sentinel)." in

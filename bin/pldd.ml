@@ -53,9 +53,11 @@ let handle_request server (e : Protocol.envelope) =
   let id = e.Protocol.rq_id in
   match e.Protocol.req with
   | Protocol.Run { bench; level; frames } -> (
-      match (resolve_bench bench, Protocol.level_of_name level) with
-      | Error msg, _ | _, Error msg -> Protocol.reply_error ~id msg
-      | Ok (g, workload), Ok level -> (
+      match (resolve_bench bench, B.level_of_string level) with
+      | Error msg, _ -> Protocol.reply_error ~id msg
+      | _, None ->
+          Protocol.reply_error ~id (Printf.sprintf "unknown level %S (want O0|O1|O3|Vitis)" level)
+      | Ok (g, workload), Some level -> (
           match
             Service.compile (Server.service server) ~tenant:e.Protocol.tenant
               ~priority:e.Protocol.priority ?deadline_ms:e.Protocol.deadline_ms

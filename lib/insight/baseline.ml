@@ -1,39 +1,14 @@
 module Json = Pld_telemetry.Json
-module Stats = Pld_util.Stats
 module Table = Pld_util.Table
 
-type stats = { n : int; median : float; lo : float; hi : float }
+type entry = { bench : string; level : string; exact : (string * float) list }
+type snapshot = { version : int; suite : string; created : string; entries : entry list }
 
-let stats_of xs =
-  if xs = [] then invalid_arg "Baseline.stats_of: empty sample list";
-  let lo, hi = Stats.min_max xs in
-  { n = List.length xs; median = Stats.median xs; lo; hi }
+let current_version = 3
 
-type entry = {
-  bench : string;
-  level : string;
-  exact : (string * float) list;
-  wall : (string * stats) list;
-}
-
-type snapshot = {
-  version : int;
-  suite : string;
-  created : string;
-  repeats : int;
-  pace : float;
-  entries : entry list;
-}
-
-let current_version = 2
-
-type thresholds = { exact_rel : float; wall_rel : float; wall_abs : float }
-
-let default_thresholds = { exact_rel = 1e-6; wall_rel = 0.25; wall_abs = 0.02 }
-
-type metric_class = Exact | Wall
-
-let class_name = function Exact -> "exact" | Wall -> "wall"
+(* Exact metrics repeat bit for bit; the band only absorbs float
+   formatting through the JSON round-trip. *)
+let exact_rel = 1e-6
 
 type status = Ok | Regression | Improvement | Missing | New
 
@@ -48,7 +23,6 @@ type finding = {
   f_bench : string;
   f_level : string;
   f_metric : string;
-  f_class : metric_class;
   f_base : float;
   f_cur : float;
   f_band : float;
@@ -64,8 +38,8 @@ type verdict = {
 
 let higher_is_better = function
   | "fmax_mhz" | "cache_hits" -> true
-  (* Service tier: more sharing is better, more failures is worse. *)
-  | "svc_completed" | "svc_deduped" | "svc_cross_tenant_hits" | "svc_cache_hits" -> true
+  (* Service tier: fewer completed sessions is the regression. *)
+  | "svc_completed" -> true
   (* Incremental tier: losing the delta path or its speedup is the regression. *)
   | "inc_delta_hits" | "inc_speedup" | "inc_cells_kept" -> true
   | _ -> false
@@ -77,87 +51,39 @@ let judge ~metric ~base ~cur ~band =
   else if higher_is_better metric = (cur > base) then Improvement
   else Regression
 
-let compare_entry th ~exact_only (base : entry) (cur : entry) =
-  let mk cls metric b c band =
-    {
-      f_bench = base.bench;
-      f_level = base.level;
-      f_metric = metric;
-      f_class = cls;
-      f_base = b;
-      f_cur = c;
-      f_band = band;
-      f_status = judge ~metric ~base:b ~cur:c ~band;
-    }
-  in
-  let missing cls metric b =
-    { f_bench = base.bench; f_level = base.level; f_metric = metric; f_class = cls;
-      f_base = b; f_cur = Float.nan; f_band = 0.0; f_status = Missing }
-  in
-  let fresh cls metric c =
-    { f_bench = base.bench; f_level = base.level; f_metric = metric; f_class = cls;
-      f_base = Float.nan; f_cur = c; f_band = 0.0; f_status = New }
-  in
-  let pair cls b_list c_list band_of value_of =
-    List.map
-      (fun (m, b) ->
-        match List.assoc_opt m c_list with
-        | Some c -> mk cls m (value_of b) (value_of c) (band_of b)
-        | None -> missing cls m (value_of b))
-      b_list
-    @ List.filter_map
-        (fun (m, c) ->
-          if List.mem_assoc m b_list then None else Some (fresh cls m (value_of c)))
-        c_list
-  in
-  let exact =
-    pair Exact base.exact cur.exact
-      (fun b -> Float.max 1e-9 (th.exact_rel *. Float.abs b))
-      Fun.id
-  in
-  if exact_only then exact
-  else
-    exact
-    @ pair Wall base.wall cur.wall
-        (fun b -> Float.max th.wall_abs (th.wall_rel *. Float.abs b.median))
-        (fun s -> s.median)
+let finding (e : entry) metric ~base ~cur ~band f_status =
+  { f_bench = e.bench; f_level = e.level; f_metric = metric; f_base = base; f_cur = cur;
+    f_band = band; f_status }
 
-let compare_snapshots ?(thresholds = default_thresholds) ?(exact_only = false) ~base cur =
+let compare_entry (base : entry) (cur : entry) =
+  List.map
+    (fun (m, b) ->
+      match List.assoc_opt m cur.exact with
+      | Some c ->
+          let band = Float.max 1e-9 (exact_rel *. Float.abs b) in
+          finding base m ~base:b ~cur:c ~band (judge ~metric:m ~base:b ~cur:c ~band)
+      | None -> finding base m ~base:b ~cur:Float.nan ~band:0.0 Missing)
+    base.exact
+  @ List.filter_map
+      (fun (m, c) ->
+        if List.mem_assoc m base.exact then None
+        else Some (finding base m ~base:Float.nan ~cur:c ~band:0.0 New))
+      cur.exact
+
+let compare_snapshots ~base cur =
   let key e = (e.bench, e.level) in
+  let whole e status = finding e "(entry)" ~base:Float.nan ~cur:Float.nan ~band:0.0 status in
   let findings =
     List.concat_map
       (fun b ->
         match List.find_opt (fun c -> key c = key b) cur.entries with
-        | Some c -> compare_entry thresholds ~exact_only b c
-        | None ->
-            [
-              {
-                f_bench = b.bench;
-                f_level = b.level;
-                f_metric = "(entry)";
-                f_class = Exact;
-                f_base = Float.nan;
-                f_cur = Float.nan;
-                f_band = 0.0;
-                f_status = Missing;
-              };
-            ])
+        | Some c -> compare_entry b c
+        | None -> [ whole b Missing ])
       base.entries
     @ List.filter_map
         (fun c ->
           if List.exists (fun b -> key b = key c) base.entries then None
-          else
-            Some
-              {
-                f_bench = c.bench;
-                f_level = c.level;
-                f_metric = "(entry)";
-                f_class = Exact;
-                f_base = Float.nan;
-                f_cur = Float.nan;
-                f_band = 0.0;
-                f_status = New;
-              })
+          else Some (whole c New))
         cur.entries
   in
   let regressions = List.filter (fun f -> f.f_status = Regression) findings in
@@ -173,31 +99,8 @@ let get name j = match Json.member name j with Some v -> v | None -> fail "basel
 let get_str name j = match get name j with Json.String s -> s | _ -> fail "baseline: %S not a string" name
 let get_int name j = match get name j with Json.Int i -> i | _ -> fail "baseline: %S not an int" name
 
-let get_float name j =
-  match get name j with
-  | Json.Float f -> f
-  | Json.Int i -> float_of_int i
-  | _ -> fail "baseline: %S not a number" name
-
 let fields name j =
   match get name j with Json.Obj l -> l | _ -> fail "baseline: %S not an object" name
-
-let stats_json s =
-  Json.Obj
-    [
-      ("n", Json.Int s.n);
-      ("median", Json.Float s.median);
-      ("lo", Json.Float s.lo);
-      ("hi", Json.Float s.hi);
-    ]
-
-let stats_of_json j =
-  {
-    n = get_int "n" j;
-    median = get_float "median" j;
-    lo = get_float "lo" j;
-    hi = get_float "hi" j;
-  }
 
 let entry_json e =
   Json.Obj
@@ -205,7 +108,6 @@ let entry_json e =
       ("bench", Json.String e.bench);
       ("level", Json.String e.level);
       ("exact", Json.Obj (List.map (fun (m, v) -> (m, Json.Float v)) e.exact));
-      ("wall", Json.Obj (List.map (fun (m, s) -> (m, stats_json s)) e.wall));
     ]
 
 let entry_of_json j =
@@ -218,7 +120,6 @@ let entry_of_json j =
     bench = get_str "bench" j;
     level = get_str "level" j;
     exact = List.map (fun (m, v) -> (m, number v)) (fields "exact" j);
-    wall = List.map (fun (m, v) -> (m, stats_of_json v)) (fields "wall" j);
   }
 
 let to_json s =
@@ -227,8 +128,6 @@ let to_json s =
       ("version", Json.Int s.version);
       ("suite", Json.String s.suite);
       ("created", Json.String s.created);
-      ("repeats", Json.Int s.repeats);
-      ("pace", Json.Float s.pace);
       ("entries", Json.List (List.map entry_json s.entries));
     ]
 
@@ -242,14 +141,7 @@ let of_json j =
     | Json.List l -> List.map entry_of_json l
     | _ -> fail "baseline: \"entries\" not a list"
   in
-  {
-    version;
-    suite = get_str "suite" j;
-    created = get_str "created" j;
-    repeats = get_int "repeats" j;
-    pace = get_float "pace" j;
-    entries;
-  }
+  { version; suite = get_str "suite" j; created = get_str "created" j; entries }
 
 let save ~file s = Json.write_file ~pretty:true ~file (to_json s)
 
@@ -279,7 +171,6 @@ let render_verdict v =
         [
           f.f_bench;
           f.f_level;
-          class_name f.f_class;
           f.f_metric;
           fnum f.f_base;
           fnum f.f_cur;
@@ -293,10 +184,10 @@ let render_verdict v =
     Table.render
       ~aligns:
         [
-          Table.Left; Table.Left; Table.Left; Table.Left; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Left;
+          Table.Left; Table.Left; Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
+          Table.Left;
         ]
-      ~header:[ "bench"; "level"; "class"; "metric"; "baseline"; "current"; "delta"; "band"; "status" ]
+      ~header:[ "bench"; "level"; "metric"; "baseline"; "current"; "delta"; "band"; "status" ]
       rows
   in
   let summary =
@@ -318,7 +209,6 @@ let finding_json f =
     [
       ("bench", Json.String f.f_bench);
       ("level", Json.String f.f_level);
-      ("class", Json.String (class_name f.f_class));
       ("metric", Json.String f.f_metric);
       ("baseline", Json.Float f.f_base);
       ("current", Json.Float f.f_cur);

@@ -11,6 +11,17 @@ type level = O0 | O1 | O3 | Vitis
 
 let level_name = function O0 -> "-O0" | O1 -> "-O1" | O3 -> "-O3" | Vitis -> "vitis"
 
+let level_of_string s =
+  let drop prefix s =
+    if String.starts_with ~prefix s then String.sub s 1 (String.length s - 1) else s
+  in
+  match drop "o" (drop "-" (String.lowercase_ascii s)) with
+  | "0" -> Some O0
+  | "1" -> Some O1
+  | "3" -> Some O3
+  | "vitis" -> Some Vitis
+  | _ -> None
+
 exception Build_error = Flow.Build_error
 
 type compiled_operator = Hw_page of Flow.o1_operator | Soft_page of Flow.o0_operator

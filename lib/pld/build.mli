@@ -14,6 +14,13 @@ type level = O0 | O1 | O3 | Vitis
 
 val level_name : level -> string
 
+val level_of_string : string -> level option
+(** The one level parser: case-insensitive, an optional leading ["-"],
+    an optional ["o"], then ["0"], ["1"], ["3"] or ["vitis"] — so
+    ["O1"], ["-O3"], ["o0"], ["1"] and ["Vitis"] all parse, and
+    [level_of_string (level_name l) = Some l]. Callers word their own
+    error for [None]. *)
+
 exception Build_error of string
 (** Re-export of {!Flow.Build_error}: a build artifact or graph piece
     that should exist does not. Replaces the bare [Option.get] /

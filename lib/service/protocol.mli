@@ -95,5 +95,3 @@ val render_status : Pld_telemetry.Json.t -> string list
     state, queue occupancy), a counters line, one line per tenant
     (quota occupancy and latency quantiles), and one line per in-flight
     build (age and trace id). Used by [pldc status] and [pldc top]. *)
-
-val level_of_name : string -> (Pld_core.Build.level, string) result

@@ -45,6 +45,10 @@ let stop t =
 
 let draining t = Atomic.get t.sv_stopping || Service.draining t.sv_service
 
+let wire_level name =
+  Option.to_result (Pld_core.Build.level_of_string name)
+    ~none:(Printf.sprintf "unknown level %S (want O0|O1|O3|Vitis)" name)
+
 let reply_of_reject ~id rej =
   let state = Service.reject_state rej and msg = Service.reject_message rej in
   match Service.reject_retry_after_ms rej with
@@ -79,7 +83,7 @@ let handle t ~resolve (e : Protocol.envelope) =
       Protocol.reply_ok ~id (Json.Obj [ ("stopping", Json.Bool true) ])
   | Protocol.Run _ -> Protocol.reply_error ~id "run is not supported by this server"
   | Protocol.Profile { bench; level } -> (
-      match (resolve bench, Protocol.level_of_name level) with
+      match (resolve bench, wire_level level) with
       | Error msg, _ | _, Error msg -> Protocol.reply_error ~id msg
       | Ok g, Ok level ->
           (* The profile rides the build's own cache key, so a tenant
@@ -97,7 +101,7 @@ let handle t ~resolve (e : Protocol.envelope) =
           in
           Protocol.reply_ok ~id (Json.Obj body))
   | Protocol.Compile { bench; level } -> (
-      match (resolve bench, Protocol.level_of_name level) with
+      match (resolve bench, wire_level level) with
       | Error msg, _ | _, Error msg -> Protocol.reply_error ~id msg
       | Ok g, Ok level -> (
           match
@@ -107,9 +111,28 @@ let handle t ~resolve (e : Protocol.envelope) =
           | Ok outcome -> Protocol.reply_ok ~id (Service.outcome_json outcome)
           | Error rej -> reply_of_reject ~id rej))
 
+let max_request_bytes = 65536
+
+(* [input_line] that stops buffering at [max_request_bytes]: a client
+   cannot make the daemon hold an arbitrarily long line in memory. *)
+let read_request ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | exception End_of_file -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+    | '\n' -> `Line (Buffer.contents buf)
+    | _ when Buffer.length buf >= max_request_bytes -> `Oversized
+    | c ->
+        Buffer.add_char buf c;
+        go ()
+  in
+  go ()
+
 (* Per-connection loop. Transport failures (a client that vanished
    mid-reply, EPIPE on a closed pipe) are counted and logged — one
-   structured line each — instead of silently swallowed. *)
+   structured line each — instead of silently swallowed. An oversized
+   request is refused once and ends the connection: the rest of its
+   line is never read, so there is no request boundary to resume at. *)
 let handle_conn t handler ~conn_id fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -119,9 +142,17 @@ let handle_conn t handler ~conn_id fd =
     flush oc
   in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
+    match read_request ic with
+    | `Eof -> ()
+    | `Oversized ->
+        T.incr (T.counter t.sv_telemetry "service.oversized_requests");
+        Log.warn t.sv_logger
+          ~fields:[ ("conn", string_of_int conn_id); ("limit", string_of_int max_request_bytes) ]
+          ~sub:"server.conn" "oversized request refused, closing";
+        send
+          (Protocol.reply_error ~id:0
+             (Printf.sprintf "request exceeds %d bytes" max_request_bytes))
+    | `Line line ->
         (match Json.of_string line with
         | exception Json.Parse_error msg -> send (Protocol.reply_error ~id:0 ("bad request: " ^ msg))
         | j -> (

@@ -12,12 +12,20 @@
     - Connection-level transport failures (a client gone mid-reply,
       [EPIPE], reset) bump the [service.conn_errors] counter and emit
       one structured log line each — they are never silently swallowed.
+    - A request line longer than {!max_request_bytes} is never
+      buffered whole: the server answers one error reply naming the
+      cap, bumps [service.oversized_requests], logs one line and
+      closes that connection. Other connections are unaffected.
     - {!stop} (also installed on [SIGTERM]/[SIGINT]) closes the
       listener, drains the service under its grace budget — during
       which new submissions are refused with honest [DRAINING] replies —
       then joins the connection threads and removes the socket. *)
 
 type t
+
+val max_request_bytes : int
+(** 64 KiB. Requests carry only names and small numbers, so a
+    legitimate line is far below it. *)
 
 val service : t -> Service.t
 

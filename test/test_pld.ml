@@ -541,8 +541,31 @@ let test_compile_time_shape () =
   let sepw = sep.Build.report.Build.parallel_seconds in
   check_bool "separate compile faster" true (sepw < o1w)
 
+(* The one level parser accepts every spelling the CLI, the sentinel
+   and the wire protocol used to parse separately, and inverts
+   [level_name]. *)
+let test_level_parsing () =
+  List.iter
+    (fun (s, expect) ->
+      check_bool ("level " ^ s) true (Build.level_of_string s = Some expect))
+    [
+      ("O0", Build.O0); ("o0", Build.O0); ("-O0", Build.O0); ("-o0", Build.O0); ("0", Build.O0);
+      ("O1", Build.O1); ("o1", Build.O1); ("-O1", Build.O1); ("1", Build.O1);
+      ("O3", Build.O3); ("o3", Build.O3); ("-O3", Build.O3); ("3", Build.O3);
+      ("vitis", Build.Vitis); ("Vitis", Build.Vitis); ("VITIS", Build.Vitis);
+    ];
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "reject %S" s) true (Build.level_of_string s = None))
+    [ "O7"; ""; "-"; "O"; "O2"; "--O1" ];
+  List.iter
+    (fun l ->
+      check_bool ("round-trip " ^ Build.level_name l) true
+        (Build.level_of_string (Build.level_name l) = Some l))
+    [ Build.O0; Build.O1; Build.O3; Build.Vitis ]
+
 let suite =
   [
+    ("build: level parsing", `Quick, test_level_parsing);
     ("assign: basic", `Quick, test_assign_basic);
     ("assign: pragma hint", `Quick, test_assign_honors_hint);
     ("assign: no fit", `Quick, test_assign_no_fit);

@@ -330,6 +330,11 @@ module Protocol = Pld_service.Protocol
 module Log = Pld_telemetry.Log
 module Json = Pld_telemetry.Json
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
 let spans_with_trace tele id =
   List.filter (fun (s : T.span) -> List.assoc_opt "trace" s.T.attrs = Some id) (T.spans tele)
 
@@ -609,6 +614,73 @@ let test_profile_wire_verb () =
   | Error msg -> Alcotest.failf "shutdown failed: %s" msg);
   Thread.join server
 
+(* A request line past the cap is refused over a real socket: one error
+   reply naming the cap, one counter bump, one log line, and that
+   connection is closed — while a fresh connection still answers. *)
+let test_oversized_request_refused () =
+  let tele = T.create () in
+  let logger = Log.create () in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pld-oversized-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists socket then Sys.remove socket;
+  let svc = Service.create ~queue_workers:1 ~telemetry:tele ~logger () in
+  let server =
+    Thread.create
+      (fun () ->
+        ignore
+          (Server.serve ~socket ~install_signals:false ~telemetry:tele ~logger ~service:svc
+             ~handler:(fun t e -> Server.handle t ~resolve:resolve_chain e)
+             ()))
+      ()
+  in
+  let ping () =
+    let backoff =
+      { Client.default_backoff with Client.b_attempts = 60; b_base_s = 0.01; b_cap_s = 0.02 }
+    in
+    match Client.rpc_retry ~backoff ~socket (Protocol.envelope Protocol.Ping) with
+    | Ok r -> r.Protocol.ok
+    | Error msg -> Alcotest.failf "ping failed: %s" msg
+  in
+  check_bool "server answers before the oversized request" true (ping ());
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let line = Bytes.make (Server.max_request_bytes + 2) 'x' in
+  Bytes.set line (Bytes.length line - 1) '\n';
+  (* The server stops reading at the cap; should it close before the
+     write lands, that must surface as EPIPE here, not kill the test. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  (try ignore (Unix.write fd line 0 (Bytes.length line)) with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+  Sys.set_signal Sys.sigpipe sigpipe;
+  let ic = Unix.in_channel_of_descr fd in
+  let reply =
+    match Protocol.reply_of_json (Json.of_string (input_line ic)) with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "bad reply: %s" msg
+  in
+  check_bool "oversized request refused" false reply.Protocol.ok;
+  check_bool "refusal names the cap" true
+    (match Protocol.error_message reply with
+    | Some m -> contains ~sub:(string_of_int Server.max_request_bytes) m
+    | None -> false);
+  check_bool "connection closed after the refusal" true
+    (match input_line ic with
+    | exception (End_of_file | Sys_error _) -> true
+    | _ -> false);
+  close_in_noerr ic;
+  check_int "refusal counted" 1 (T.counter_value tele "service.oversized_requests");
+  check_int "one log line" 1
+    (List.length
+       (List.filter
+          (fun (ev : Log.event) -> contains ~sub:"oversized" ev.Log.ev_msg)
+          (Log.events logger)));
+  check_bool "a fresh connection still answers ping" true (ping ());
+  (match Client.rpc ~socket (Protocol.envelope Protocol.Shutdown) with
+  | Ok r -> check_bool "shutdown acknowledged" true r.Protocol.ok
+  | Error msg -> Alcotest.failf "shutdown failed: %s" msg);
+  Thread.join server
+
 let suite =
   [
     ("session: compile, cache, link, run, close", `Quick, test_session_compile_link_run);
@@ -630,4 +702,5 @@ let suite =
     ("status: live introspection documents", `Quick, test_status_and_health_json);
     ("profile: travels with the shared artifact", `Quick, test_profile_travels_with_artifact);
     ("profile: wire verb serves persisted document", `Slow, test_profile_wire_verb);
+    ("server: oversized request refused and counted", `Slow, test_oversized_request_refused);
   ]
